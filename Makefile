@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test race race-shard speedup-smoke fastforward-smoke scenario-conformance cover bench bench-smoke benchjson report sweep clean
+.PHONY: check build vet lint test race race-shard packetdebug speedup-smoke fastforward-smoke scenario-conformance cover bench bench-smoke benchjson report sweep clean
 
 check: build vet lint race
 
@@ -43,6 +43,13 @@ race:
 race-shard:
 	$(GO) test -race ./internal/shard
 	$(GO) test -race -run 'TestShardDifferential|TestBackboneShardDifferential' ./experiments
+
+# The packet-ownership runtime guard (double release, use after release)
+# built into the pool by the packetdebug tag, run where packets park
+# between owners: the pool's own agreement tests, netem's delay lines,
+# the shard runner's cut-link injections, and the end-to-end experiments.
+packetdebug:
+	$(GO) test -tags packetdebug ./internal/packet/ ./internal/netem/ ./internal/shard/ ./experiments/
 
 # Wall-clock scaling gate (needs >= 2 cores): the auto-partitioned 2-shard
 # chain spec must not run materially slower than single-engine.

@@ -50,14 +50,18 @@ var Analyzer = &analysis.Analyzer{
 // is observable (FIFO tie-breaking at equal timestamps). "At" is matched
 // only on receivers from package sim to avoid colliding with accessors.
 var scheduleMethods = map[string]bool{
-	"Schedule":      true,
-	"ScheduleStd":   true,
-	"ScheduleCall":  true,
-	"ScheduleOwned": true,
-	"AtCall":        true,
-	"ArmTimer":      true,
-	"ArmTimerAt":    true,
-	"RunUntil":      true,
+	"Schedule":         true,
+	"ScheduleStd":      true,
+	"ScheduleCall":     true,
+	"ScheduleOwned":    true,
+	"AtCall":           true,
+	"AtPinned":         true,
+	"ArmTimer":         true,
+	"ArmTimerAt":       true,
+	"ArmPinnedTimer":   true,
+	"ArmPinnedTimerAt": true,
+	"PushLine":         true,
+	"RunUntil":         true,
 }
 
 // writerMethods are method names that emit output in call order.

@@ -56,6 +56,30 @@ func armTimers(eng *sim.Engine, timers map[flowKey]*sim.Timer, h sim.Handler) {
 	}
 }
 
+// The pinned variants consume a sequence number exactly like their
+// unpinned twins: arming control-plane deadlines from a map range leaks
+// visit order into equal-instant tie-breaking just the same.
+func pinAll(eng *sim.Engine, timers map[flowKey]*sim.Timer, deadlines map[flowKey]sim.Time, h sim.Handler) {
+	for _, t := range timers { // want `map range schedules events via ArmPinnedTimer in iteration order`
+		eng.ArmPinnedTimer(t, sim.Time(1), h, nil)
+	}
+	for k, d := range deadlines { // want `map range schedules events via ArmPinnedTimerAt in iteration order`
+		eng.ArmPinnedTimerAt(timers[k], d, h, nil)
+	}
+	for _, d := range deadlines { // want `map range schedules events via AtPinned in iteration order`
+		eng.AtPinned(d, func() {})
+	}
+}
+
+// Pushing onto delay lines from a map range draws each entry's sequence
+// number in visit order, so same-instant arrivals on different lines
+// dispatch in a different order every run.
+func deliverAll(eng *sim.Engine, lines map[flowKey]*sim.Line, h sim.Handler) {
+	for _, l := range lines { // want `map range schedules events via PushLine in iteration order`
+		eng.PushLine(l, eng.Now()+1, eng.Now(), h, nil)
+	}
+}
+
 // Report lines written in map order differ between runs byte-for-byte.
 func dumpCounts(w io.Writer, counts map[flowKey]int) {
 	for k, n := range counts { // want `map range writes output via fmt\.Fprintf in iteration order`

@@ -12,11 +12,18 @@ type Engine struct{ now Time }
 func (e *Engine) Now() Time                             { return e.now }
 func (e *Engine) Schedule(d Time, f func())             {}
 func (e *Engine) At(t Time, f func())                   {}
+func (e *Engine) AtPinned(t Time, f func())             {}
 func (e *Engine) ScheduleCall(d Time, h Handler, a any) {}
 func (e *Engine) RunUntil(t Time)                       {}
 
 type Timer struct{ armed bool }
 
-func (e *Engine) ArmTimer(t *Timer, d Time, h Handler, a any)    {}
-func (e *Engine) ArmTimerAt(t *Timer, at Time, h Handler, a any) {}
-func (e *Engine) StopTimer(t *Timer) bool                        { return t.armed }
+func (e *Engine) ArmTimer(t *Timer, d Time, h Handler, a any)          {}
+func (e *Engine) ArmTimerAt(t *Timer, at Time, h Handler, a any)       {}
+func (e *Engine) ArmPinnedTimer(t *Timer, d Time, h Handler, a any)    {}
+func (e *Engine) ArmPinnedTimerAt(t *Timer, at Time, h Handler, a any) {}
+func (e *Engine) StopTimer(t *Timer) bool                              { return t.armed }
+
+type Line struct{ n int }
+
+func (e *Engine) PushLine(l *Line, at, from Time, h Handler, a any) {}

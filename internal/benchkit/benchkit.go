@@ -119,7 +119,7 @@ func (nullEndpoint) Deliver(p *packet.Packet) {}
 
 // NetemForward measures one packet per op through a two-node
 // store-and-forward hop: pool alloc, qdisc enqueue/dequeue, persistent
-// transmit event, pooled propagation event, delivery, pool release.
+// transmit event, the peer's inbound delay line, delivery, pool release.
 // Steady state is allocation-free.
 func NetemForward(b *testing.B) {
 	eng := sim.NewEngine()

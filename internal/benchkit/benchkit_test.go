@@ -118,30 +118,40 @@ func TestTCPRTTZeroAlloc(t *testing.T) {
 	}
 }
 
-// qdisc, persistent transmit event, and pooled propagation event together
-// move a packet across a hop without allocating.
+// qdisc, persistent transmit event, and the peer's inbound delay line
+// together move a packet across a hop without allocating — one packet at
+// a time, and as a burst that parks many packets on the line at once.
 func TestNetemForwardZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	w := netem.NewNetwork(eng)
 	a, c := w.NewNode("a"), w.NewNode("b")
-	da, db := w.Connect(a, c, netem.LinkConfig{RateBps: 1e9, Delay: 1000})
+	// 256 × 1500 B at 1 Gbps serialise in ≈3.1 ms, inside the 5 ms delay:
+	// the whole burst is in flight on the line together.
+	da, db := w.Connect(a, c, netem.LinkConfig{RateBps: 1e9, Delay: 5e6})
 	da.SetQdisc(qdisc.NewFIFO(1 << 20))
 	db.SetQdisc(qdisc.NewFIFO(1 << 20))
 	key := packet.FlowKey{Src: a.ID, Dst: c.ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
 	c.Register(key, nullEndpoint{})
 	a.AddRoute(c.ID, da)
-	forward := func() {
-		p := a.AllocPacket()
-		p.Flow = key
-		p.Size = 1500
-		p.PayloadSize = 1448
-		a.Inject(p)
-		eng.RunAll()
+	send := func(n int) func() {
+		return func() {
+			for i := 0; i < n; i++ {
+				p := a.AllocPacket()
+				p.Flow = key
+				p.Size = 1500
+				p.PayloadSize = 1448
+				a.Inject(p)
+			}
+			eng.RunAll()
+		}
 	}
-	forward() // warm pool + free lists
-	allocs := testing.AllocsPerRun(100, forward)
-	if allocs != 0 {
-		t.Fatalf("forwarding hot path allocates %.1f objects/run, want 0", allocs)
+	for _, n := range []int{1, 256} {
+		forward := send(n)
+		forward() // warm pool, free lists, and the line's ring
+		allocs := testing.AllocsPerRun(100, forward)
+		if allocs != 0 {
+			t.Fatalf("forwarding %d packets allocates %.1f objects/run, want 0", n, allocs)
+		}
 	}
 	if reuses := w.Pool().Reuses; reuses == 0 {
 		t.Fatal("packet pool never recycled a packet")

@@ -95,6 +95,13 @@ type Device struct {
 	txEvent  sim.Event
 	txPacket *packet.Packet
 
+	// inbound is the propagation leg feeding this device: the packets in
+	// flight towards it, in arrival order. A device has exactly one feeder
+	// — its local peer's transmitter or one cut-link half — so arrivals
+	// reach the line in dispatch order and only the head occupies the
+	// engine's heap.
+	inbound sim.Line
+
 	// serialiseSize/serialiseTime memoise the last packet size's
 	// serialisation delay. Traffic on a device is dominated by long runs
 	// of equal-sized packets (full segments one way, bare ACKs the other),
@@ -167,8 +174,8 @@ func (d *Device) transmitNext() {
 type deviceTxDone Device
 
 // OnEvent fires when the head packet's last bit leaves the device: account
-// it, hand it to the propagation leg towards the peer (a pooled typed
-// event — the receive side of the hop), and start on the next packet.
+// it, push it onto the peer's inbound delay line (the propagation leg of
+// the hop), and start on the next packet.
 func (t *deviceTxDone) OnEvent(any) {
 	d := (*Device)(t)
 	p := d.txPacket
@@ -178,11 +185,12 @@ func (t *deviceTxDone) OnEvent(any) {
 	if d.OnTransmit != nil {
 		d.OnTransmit(p)
 	}
+	eng := d.node.net.Engine
+	now := eng.Now()
 	if d.handoff != nil {
-		now := d.node.net.Engine.Now()
 		d.handoff.Handoff(p, now, now+d.delay)
 	} else {
-		d.node.net.Engine.ScheduleCall(d.delay, (*deviceArrival)(d.peer), p)
+		eng.PushLine(&d.peer.inbound, now+d.delay, now, (*deviceArrival)(d.peer), p)
 	}
 	d.transmitNext()
 }
@@ -194,25 +202,16 @@ func (r *deviceArrival) OnEvent(arg any) {
 	(*Device)(r).receive(arg.(*packet.Packet))
 }
 
-// InjectArrivalAt schedules p's arrival on this device at absolute virtual
-// time t — the receive leg of a cut link. It is the cross-engine
-// equivalent of the pooled propagation event a local transmit completion
-// schedules, so a sharded run dispatches exactly one arrival event per
-// hop, like the single-engine run. p must be owned by this device's
+// InjectArrivalFrom queues p's arrival at absolute virtual time t on this
+// device's inbound line — the receive leg of a cut link — ordered among
+// same-instant local events by the time the remote half emitted it (sent):
+// the key a single merged engine would have given the arrival at transmit
+// completion, so cuts through dense-traffic links (same-nanosecond arrival
+// collisions) stay byte-identical to the single-engine run. Arrivals must
+// be injected in (t, sent) order. p must be owned by this device's
 // network (drawn from its pool or handed over for good).
-func (d *Device) InjectArrivalAt(t sim.Time, p *packet.Packet) {
-	d.node.net.Engine.AtCall(t, (*deviceArrival)(d), p)
-}
-
-// InjectArrivalFrom schedules p's arrival at absolute virtual time t,
-// ordered among same-instant local events by the time the remote half
-// emitted it (sent) — the stamp a single merged engine would have given
-// the propagation event it scheduled at transmit completion. Sharded
-// runners use this instead of InjectArrivalAt so cuts through
-// dense-traffic links (same-nanosecond arrival collisions) stay
-// byte-identical to the single-engine run.
 func (d *Device) InjectArrivalFrom(t, sent sim.Time, p *packet.Packet) {
-	d.node.net.Engine.AtCallFrom(t, sent, (*deviceArrival)(d), p)
+	d.node.net.Engine.PushLine(&d.inbound, t, sent, (*deviceArrival)(d), p)
 }
 
 // NextHandoffBound returns a lower bound on the virtual time at which
@@ -400,13 +399,22 @@ type LinkConfig struct {
 	QdiscFactory func() Qdisc
 }
 
+// check panics on a link no device can serialise onto: a non-positive
+// rate, or a negative delay (arrivals would precede their emission).
+func (cfg LinkConfig) check() {
+	if cfg.RateBps <= 0 {
+		panic(fmt.Sprintf("netem: non-positive link rate %v", cfg.RateBps))
+	}
+	if cfg.Delay < 0 {
+		panic(fmt.Sprintf("netem: negative link delay %v", cfg.Delay))
+	}
+}
+
 // Connect creates a full-duplex link between a and b, returning the two
 // directional devices (a→b, b→a). Qdiscs must be set by the caller (via
 // cfg.QdiscFactory or SetQdisc) before traffic flows.
 func (w *Network) Connect(a, b *Node, cfg LinkConfig) (*Device, *Device) {
-	if cfg.RateBps <= 0 {
-		panic(fmt.Sprintf("netem: non-positive link rate %v", cfg.RateBps))
-	}
+	cfg.check()
 	da := &Device{Name: fmt.Sprintf("%s->%s", a.Name, b.Name), node: a, rate: cfg.RateBps, delay: cfg.Delay}
 	db := &Device{Name: fmt.Sprintf("%s->%s", b.Name, a.Name), node: b, rate: cfg.RateBps, delay: cfg.Delay}
 	da.peer, db.peer = db, da
@@ -426,9 +434,7 @@ func (w *Network) Connect(a, b *Node, cfg LinkConfig) (*Device, *Device) {
 // packets serialise through the qdisc and transmitter exactly as on a
 // local link and are then passed to h with their arrival time.
 func (w *Network) ConnectHalf(a *Node, peerName string, cfg LinkConfig, h Handoff) *Device {
-	if cfg.RateBps <= 0 {
-		panic(fmt.Sprintf("netem: non-positive link rate %v", cfg.RateBps))
-	}
+	cfg.check()
 	d := &Device{Name: fmt.Sprintf("%s->%s", a.Name, peerName), node: a, rate: cfg.RateBps, delay: cfg.Delay, handoff: h}
 	if cfg.QdiscFactory != nil {
 		d.qdisc = cfg.QdiscFactory()

@@ -349,3 +349,30 @@ func TestNoDefaultEndpointStillUnroutable(t *testing.T) {
 		t.Fatalf("unroutable = %d, want 1", b.Unroutable)
 	}
 }
+
+// TestConnectRejectsBadLinks: a link must have a positive rate and a
+// non-negative delay — a negative one would deliver packets onto the
+// peer's delay line before they were emitted.
+func TestConnectRejectsBadLinks(t *testing.T) {
+	for _, cfg := range []LinkConfig{
+		{RateBps: 0, Delay: 1},
+		{RateBps: 1e9, Delay: -1},
+	} {
+		for _, half := range []bool{false, true} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("link %+v (half %v) accepted", cfg, half)
+					}
+				}()
+				w := NewNetwork(sim.NewEngine())
+				a, b := w.NewNode("a"), w.NewNode("b")
+				if half {
+					w.ConnectHalf(a, "b", cfg, nil)
+				} else {
+					w.Connect(a, b, cfg)
+				}
+			}()
+		}
+	}
+}

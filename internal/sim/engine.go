@@ -5,7 +5,7 @@
 // fire in scheduling order (FIFO tie-breaking), which makes runs fully
 // deterministic for a fixed seed and workload.
 //
-// Four scheduling surfaces share one totally-ordered event stream:
+// Five scheduling surfaces share one totally-ordered event stream:
 //
 //   - Schedule / ScheduleStd / At take a func() and return an *Event handle
 //     that can be cancelled. Convenient, but each call allocates the event
@@ -21,11 +21,22 @@
 //     usually re-armed or stopped before they fire (RTO, pacing, delayed
 //     ACK, control loops). Far-future timers park in a hierarchical timing
 //     wheel where stop/re-arm is O(1); see timer.go.
+//   - PushLine feeds a caller-embedded Line: a FIFO delay line whose
+//     deliveries arrive in dispatch order (a link's propagation leg). Only
+//     the line's head sits on the heap, so the heap holds one event per
+//     busy line rather than one per packet in flight; see line.go.
 //
 // Choosing a surface: one-shot cold-path setup code → Schedule/At;
 // self-perpetuating streams with a payload → ScheduleCall; a strictly
 // sequential stream owned by one struct → ScheduleOwned; anything that
-// needs cancellation or re-arming on the hot path → a Timer.
+// needs cancellation or re-arming on the hot path → a Timer; many
+// in-flight deliveries that fire in push order → a Line.
+//
+// Pending events live in an inlined 4-ary min-heap; far-future timers park
+// in a hierarchical timing wheel and line entries behind their line's
+// head, and both re-enter the heap under the key they were given when
+// scheduled. FastForward (fastforward.go) skips the clock and shifts every
+// non-pinned pending event with it.
 package sim
 
 import (
@@ -78,6 +89,9 @@ const (
 	// kindTimer events are the heap residency of a caller-embedded Timer
 	// (timer.go); arg back-points to the Timer, which carries the handler.
 	kindTimer
+	// kindLine events are the heap residency of a caller-embedded Line's
+	// head entry (line.go); arg back-points to the Line.
+	kindLine
 )
 
 // Event is a scheduled callback. Events created by Schedule/At are handles
@@ -90,10 +104,11 @@ type Event struct {
 	// the middle key of the dispatch order (see eventLess): for locally
 	// scheduled events it equals Now() at scheduling time, which is
 	// non-decreasing in seq, so it never perturbs single-engine order.
-	// Its purpose is cross-engine injection (AtCallFrom): an event
-	// injected by a conservative-parallel runner carries the virtual time
-	// the *source* engine emitted it, which slots it among same-instant
-	// local events exactly where a single merged engine would have.
+	// Its purpose is cross-engine injection (PushLine with a past `from`):
+	// an arrival injected by a conservative-parallel runner carries the
+	// virtual time the *source* engine emitted it, which slots it among
+	// same-instant local events exactly where a single merged engine
+	// would have.
 	schedAt Time
 	seq     uint64
 	// pos is the event's heap position plus one; 0 means not queued
@@ -108,7 +123,7 @@ type Event struct {
 	pinned bool
 
 	callback func()  // kindClosure
-	handler  Handler // kindPooled, kindOwned
+	handler  Handler // kindPooled, kindOwned, kindLine
 	arg      any
 }
 
@@ -122,12 +137,15 @@ func (e *Event) Cancelled() bool { return e.pos == 0 }
 // Engine is a discrete-event scheduler. It is not safe for concurrent use;
 // simulations are single-goroutine by design.
 type Engine struct {
-	now     Time
-	seq     uint64
-	queue   []*Event // 4-ary min-heap ordered by (at, seq)
-	free    []*Event // recycled kindPooled events
-	wheel   timerWheel
-	stopped bool
+	now   Time
+	seq   uint64
+	queue []*Event // 4-ary min-heap ordered by (at, schedAt, seq)
+	free  []*Event // recycled kindPooled events
+	wheel timerWheel
+	// lineBacklog counts line entries queued behind their line's head
+	// (the heads themselves are on the heap).
+	lineBacklog int
+	stopped     bool
 	// horizon is the `until` of the innermost Run in progress (MaxTime for
 	// RunAll); FastForward callers use it to cap a skip at the horizon.
 	horizon Time
@@ -211,30 +229,6 @@ func (e *Engine) AtCall(t Time, h Handler, arg any) {
 	if t < e.now {
 		t = e.now
 	}
-	e.atCallFrom(t, e.now, h, arg)
-}
-
-// AtCallFrom runs h.OnEvent(arg) at absolute virtual time t, ordered among
-// same-instant events as if it had been scheduled when the clock read
-// `from` — which may be in this engine's past. It exists for
-// cross-engine injection by conservative-parallel runners
-// (internal/shard): a packet handed across a cut link was emitted by the
-// source engine at virtual time `from` and arrives at t; carrying `from`
-// as the event's scheduling stamp makes the merged dispatch order at
-// instant t byte-identical to a single engine that had scheduled the
-// arrival during its own dispatch at `from`. Same pooling as AtCall.
-// Panics if from > t (an arrival cannot precede its emission).
-func (e *Engine) AtCallFrom(t, from Time, h Handler, arg any) {
-	if from > t {
-		panic("sim: AtCallFrom with scheduling stamp after the deadline")
-	}
-	if t < e.now {
-		t = e.now
-	}
-	e.atCallFrom(t, from, h, arg)
-}
-
-func (e *Engine) atCallFrom(t, from Time, h Handler, arg any) {
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -244,7 +238,7 @@ func (e *Engine) atCallFrom(t, from Time, h Handler, arg any) {
 		ev = &Event{}
 	}
 	ev.at = t
-	ev.schedAt = from
+	ev.schedAt = e.now
 	ev.seq = e.seq
 	ev.kind = kindPooled
 	ev.handler = h
@@ -299,14 +293,15 @@ func (e *Engine) recycle(ev *Event) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of events waiting to fire, including timers
-// parked in the timing wheel.
-func (e *Engine) Pending() int { return len(e.queue) + e.wheel.count }
+// parked in the timing wheel and every entry queued on a Line.
+func (e *Engine) Pending() int { return len(e.queue) + e.wheel.count + e.lineBacklog }
 
 // NextEventTime returns a lower bound on the time of the engine's next
 // pending event, or MaxTime when nothing is pending. The heap top is
-// exact; wheel-resident timers contribute the start of their earliest
-// occupied slot, which is at or before any parked deadline — so the
-// returned value never overshoots a real event. Conservative-parallel
+// exact (a line's head precedes the rest of its line); wheel-resident
+// timers contribute the start of their earliest occupied slot, which is
+// at or before any parked deadline — so the returned value never
+// overshoots a real event. Conservative-parallel
 // runners use it to bound how soon a quiescent engine could emit
 // anything new.
 func (e *Engine) NextEventTime() Time {
@@ -356,9 +351,16 @@ func (e *Engine) Run(until Time) Time {
 			e.now = until
 			return e.now
 		}
-		e.heapPopMin()
 		e.now = next.at
 		e.Processed++
+		if next.kind == kindLine {
+			// popLine re-keys the root to the line's next entry in place
+			// (or pops it when the line drains) before dispatch.
+			h := next.handler
+			h.OnEvent(e.popLine(next.arg.(*Line)))
+			continue
+		}
+		e.heapPopMin()
 		switch next.kind {
 		case kindClosure:
 			next.callback()
@@ -398,7 +400,7 @@ func (e *Engine) RunAll() Time { return e.Run(MaxTime) }
 // parallel runners (internal/shard): it advances the clock to exactly t,
 // dispatching every event with at <= t, and may be called repeatedly with
 // increasing horizons. Between calls the engine is quiescent — events
-// injected from outside (cross-shard arrivals via AtCallFrom) are merged
+// injected from outside (cross-shard arrivals via PushLine) are merged
 // into the queue and dispatched in (time, emission time, seq) order
 // exactly as if they had been scheduled locally by a single merged
 // engine, which is what makes a sharded run reproduce the single-engine
@@ -414,8 +416,8 @@ func (e *Engine) RunUntil(t Time) Time { return e.Run(t) }
 // for same-instant events falls out of comparing the monotonically
 // increasing seq; the schedAt middle key is a no-op for locally scheduled
 // events (it is non-decreasing in seq) and exists so cross-engine
-// injections (AtCallFrom) sort by emission time first — see the Event
-// field comment.
+// injections (PushLine with a past stamp) sort by emission time first —
+// see the Event field comment.
 // ---------------------------------------------------------------------------
 
 func eventLess(a, b *Event) bool {

@@ -3,12 +3,13 @@ package sim
 // Fast-forward: the engine-level primitive behind the hybrid fluid/packet
 // mode (internal/fluid). A skip is a freeze-and-shift: the clock jumps
 // forward by d and every *non-pinned* pending event — heap events, wheel
-// timers, overflow timers — moves with it, keeping its distance to the
-// clock and its dispatch order (a uniform shift of (at, schedAt) preserves
-// the (at, schedAt, seq) total order among shifted events). The frozen
-// packet-level state thus re-enters at the far side of the skip exactly as
-// it left: in-flight transmissions, RTOs, pacing gaps, delayed ACKs all
-// resume with identical relative timing. Pinned events are the epoch
+// timers, overflow timers, delay-line entries — moves with it, keeping
+// its distance to the clock and its dispatch order (a uniform shift of
+// (at, schedAt) preserves the (at, schedAt, seq) total order among
+// shifted events). The frozen packet-level state thus re-enters at the
+// far side of the skip exactly as it left: in-flight transmissions and
+// propagations, RTOs, pacing gaps, delayed ACKs all resume with identical
+// relative timing. Pinned events are the epoch
 // boundaries: they keep their absolute deadlines, bound every skip
 // (FastForward panics rather than hop one), and fire on schedule.
 //
@@ -42,8 +43,9 @@ func (e *Engine) Horizon() Time { return e.horizon }
 // dispatching handler (or between Run windows); the caller is responsible
 // for having advanced all frozen component state across the skip. shiftArg
 // (optional) is invoked once per shifted event whose payload is non-nil —
-// for timer events the timer's payload, not the *Timer itself — so
-// payload-held absolute timestamps can be translated by +d.
+// for timer events the timer's payload, not the *Timer itself, and for a
+// delay line each queued entry's payload — so payload-held absolute
+// timestamps can be translated by +d.
 //
 // Panics if a pinned event lies strictly inside the skipped interval: the
 // caller must bound d by NextPinnedTime()-Now(). A pinned deadline exactly
@@ -67,6 +69,10 @@ func (e *Engine) FastForward(d Time, shiftArg func(arg any)) {
 		}
 		ev.at += d
 		ev.schedAt += d
+		if ev.kind == kindLine {
+			ev.arg.(*Line).shift(d, shiftArg)
+			continue
+		}
 		if shiftArg != nil {
 			arg := ev.arg
 			if ev.kind == kindTimer {

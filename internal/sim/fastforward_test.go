@@ -215,3 +215,82 @@ func TestFastForwardZeroAndHorizon(t *testing.T) {
 		t.Fatal("event did not fire")
 	}
 }
+
+// lineStamp is a line payload carrying an absolute timestamp, as a
+// packet does; stampRecorder logs each firing and whether the clock
+// matches the (shifted) stamp.
+type lineStamp struct {
+	id int
+	at Time
+}
+
+type stampRecorder struct {
+	log *[]string
+	eng *Engine
+}
+
+func (r stampRecorder) OnEvent(arg any) {
+	s := arg.(*lineStamp)
+	*r.log = append(*r.log, fmt.Sprintf("%d@%d", s.id, r.eng.Now()))
+	if s.at != r.eng.Now() {
+		*r.log = append(*r.log, fmt.Sprintf("stamp %d says %d", s.id, s.at))
+	}
+}
+
+// TestFastForwardLoadedLine: a skip over a delay line holding several
+// packets in flight moves every entry — not just the heap-resident head —
+// by the delta, hands each entry's payload to shiftArg exactly once,
+// leaves Pending unchanged, and still refuses to hop a pinned deadline.
+func TestFastForwardLoadedLine(t *testing.T) {
+	build := func() (*Engine, *[]string, []*lineStamp) {
+		eng := NewEngine()
+		log := new([]string)
+		r := stampRecorder{log: log, eng: eng}
+		var l Line
+		var stamps []*lineStamp
+		for i, at := range []Time{40, 40, 55, 90} { // a same-instant pair
+			s := &lineStamp{id: i, at: at}
+			stamps = append(stamps, s)
+			eng.PushLine(&l, at, Time(i), r, s)
+		}
+		// A pooled event interleaving with the line's entries.
+		eng.AtCall(50, r, &lineStamp{id: 9, at: 50})
+		return eng, log, stamps
+	}
+
+	eng, log, stamps := build()
+	const skip = Time(1e6)
+	before := eng.Pending()
+	if before != len(stamps)+1 {
+		t.Fatalf("Pending = %d before the skip, want every line entry counted (%d)", before, len(stamps)+1)
+	}
+	shifts := map[*lineStamp]int{}
+	eng.FastForward(skip, func(arg any) {
+		s := arg.(*lineStamp)
+		s.at += skip
+		shifts[s]++
+	})
+	if got := eng.Pending(); got != before {
+		t.Fatalf("Pending across the skip = %d, want %d", got, before)
+	}
+	for _, s := range stamps {
+		if shifts[s] != 1 {
+			t.Fatalf("entry %d: shiftArg ran %d times, want once", s.id, shifts[s])
+		}
+	}
+	eng.RunAll()
+	want := fmt.Sprintf("[0@%d 1@%d 9@%d 2@%d 3@%d]", skip+40, skip+40, skip+50, skip+55, skip+90)
+	if fmt.Sprint(*log) != want {
+		t.Fatalf("log = %v\nwant  %v", *log, want)
+	}
+
+	eng, _, _ = build()
+	var pin Timer
+	eng.ArmPinnedTimerAt(&pin, 500, &timerRecorder{log: new([]string), eng: eng}, nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FastForward across a pinned event must panic with a loaded line")
+		}
+	}()
+	eng.FastForward(501, nil)
+}

@@ -2,16 +2,18 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // refScheduler is a reference implementation of the engine's ordering
-// contract — a container/heap binary min-heap over (time, seq), the exact
-// structure the engine used before the inlined 4-ary heap — driven through
-// the same schedule/cancel/dispatch scripts as the real engine to prove the
-// replacement preserves dispatch order, including same-instant FIFO
-// tie-breaking.
+// contract — a container/heap binary min-heap over (time, scheduling
+// stamp, seq), the structure the engine used before the inlined 4-ary
+// heap, with one event per delivery — driven through the same
+// schedule/cancel/dispatch scripts as the real engine to prove the
+// replacement (and the delay lines that keep only their head on the heap)
+// preserves dispatch order, including same-instant FIFO tie-breaking.
 type refScheduler struct {
 	now   Time
 	seq   uint64
@@ -19,10 +21,12 @@ type refScheduler struct {
 }
 
 type refEvent struct {
-	at    Time
-	seq   uint64
-	index int
-	id    int
+	at      Time
+	schedAt Time
+	seq     uint64
+	index   int
+	id      int
+	fn      func() // run on dispatch by run(); nil for drain()'s scripts
 }
 
 type refQueue []*refEvent
@@ -31,6 +35,9 @@ func (q refQueue) Len() int { return len(q) }
 func (q refQueue) Less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
+	}
+	if q[i].schedAt != q[j].schedAt {
+		return q[i].schedAt < q[j].schedAt
 	}
 	return q[i].seq < q[j].seq
 }
@@ -57,7 +64,13 @@ func (r *refScheduler) schedule(d Time, id int) *refEvent {
 	if d < 0 {
 		d = 0
 	}
-	ev := &refEvent{at: r.now + d, seq: r.seq, id: id}
+	return r.scheduleAt(r.now+d, r.now, id, nil)
+}
+
+// scheduleAt queues one event at (at, from, next seq) — the key a delay
+// line entry pushed with PushLine(at, from) carries.
+func (r *refScheduler) scheduleAt(at, from Time, id int, fn func()) *refEvent {
+	ev := &refEvent{at: at, schedAt: from, seq: r.seq, id: id, fn: fn}
 	r.seq++
 	heap.Push(&r.queue, ev)
 	return ev
@@ -69,6 +82,17 @@ func (r *refScheduler) cancel(ev *refEvent) {
 	}
 	heap.Remove(&r.queue, ev.index)
 	ev.index = -1
+}
+
+// run dispatches events in order, calling each one's fn, until the queue
+// drains.
+func (r *refScheduler) run() {
+	for r.queue.Len() > 0 {
+		ev := heap.Pop(&r.queue).(*refEvent)
+		ev.index = -1
+		r.now = ev.at
+		ev.fn()
+	}
 }
 
 func (r *refScheduler) drain() []int {
@@ -224,4 +248,193 @@ func FuzzHeapDispatchOrder(f *testing.F) {
 		}
 		runScript(t, ops)
 	})
+}
+
+// ---------------------------------------------------------------------------
+// Line differential: one seeded script drives the engine — delay lines,
+// pooled calls, timers — and the reference, where every line entry is its
+// own heap event. The script pushes onto several lines with fixed per-line
+// delays (zero included, so same-nanosecond collisions with the pushing
+// event are common), and line 0 carries past emission stamps the way a
+// shard's cut-link injection does. Both sides consume the rng in dispatch
+// order, so any divergence desynchronises the rest of the script too.
+// ---------------------------------------------------------------------------
+
+const lineDiffLines, lineDiffTimers = 4, 4
+
+type lineDiff struct {
+	rng    *Rand
+	steps  int
+	log    []string
+	nextID int
+	delays []Time // per-line propagation delay
+	last   []Time // per-line latest emission stamp
+
+	// Exactly one side is live: the engine or the reference.
+	eng       *Engine
+	lines     []Line
+	timers    []Timer
+	ref       *refScheduler
+	refTimers []*refEvent
+}
+
+type lineFire struct{ d *lineDiff }
+
+func (f lineFire) OnEvent(arg any) { f.d.fired(arg.(int)) }
+
+func (d *lineDiff) now() Time {
+	if d.eng != nil {
+		return d.eng.Now()
+	}
+	return d.ref.now
+}
+
+func (d *lineDiff) fired(id int) { d.log = append(d.log, fmt.Sprintf("%d@%d", id, d.now())) }
+
+func (d *lineDiff) OnEvent(any) { d.step() }
+
+// step applies one random op, logs the pending count, and schedules the
+// next step.
+func (d *lineDiff) step() {
+	if d.steps == 0 {
+		return
+	}
+	d.steps--
+	now := d.now()
+	d.nextID++
+	id := d.nextID
+	fire := lineFire{d}
+	switch op := d.rng.Intn(8); {
+	case op < 4: // push onto a line
+		li := d.rng.Intn(len(d.delays))
+		delay := d.delays[li]
+		from := now
+		if li == 0 {
+			from -= Time(d.rng.Intn(int(delay) + 1))
+		}
+		if from < d.last[li] {
+			from = d.last[li]
+		}
+		d.last[li] = from
+		if d.eng != nil {
+			d.eng.PushLine(&d.lines[li], from+delay, from, fire, id)
+		} else {
+			d.ref.scheduleAt(from+delay, from, id, func() { d.fired(id) })
+		}
+	case op == 4: // pooled one-shot
+		delay := Time(d.rng.Intn(4))
+		if d.eng != nil {
+			d.eng.ScheduleCall(delay, fire, id)
+		} else {
+			d.ref.scheduleAt(now+delay, now, id, func() { d.fired(id) })
+		}
+	case op == 5: // arm / re-arm a timer, near or wheel-parked
+		slot := d.rng.Intn(lineDiffTimers)
+		delay := Time(d.rng.Intn(1 << uint(d.rng.Intn(20))))
+		if d.eng != nil {
+			d.eng.ArmTimer(&d.timers[slot], delay, fire, id)
+		} else {
+			d.ref.cancel(d.refTimers[slot])
+			d.refTimers[slot] = d.ref.scheduleAt(now+delay, now, id, func() { d.fired(id) })
+		}
+	case op == 6: // cancel a timer
+		slot := d.rng.Intn(lineDiffTimers)
+		if d.eng != nil {
+			d.eng.StopTimer(&d.timers[slot])
+		} else {
+			d.ref.cancel(d.refTimers[slot])
+		}
+	default: // let time pass
+	}
+	gap := Time(d.rng.Intn(3))
+	if d.eng != nil {
+		d.log = append(d.log, fmt.Sprintf("p%d", d.eng.Pending()))
+		d.eng.ScheduleCall(gap, d, nil)
+	} else {
+		d.log = append(d.log, fmt.Sprintf("p%d", d.ref.queue.Len()))
+		d.ref.scheduleAt(now+gap, now, -1, d.step)
+	}
+}
+
+// runLineDiff runs one script on the engine (ref false) or the reference.
+func runLineDiff(seed uint64, ref bool, steps int) []string {
+	d := &lineDiff{rng: NewRand(seed), steps: steps}
+	for i := 0; i < lineDiffLines; i++ {
+		d.delays = append(d.delays, Time(d.rng.Intn(4)))
+	}
+	d.last = make([]Time, lineDiffLines)
+	if ref {
+		d.ref = &refScheduler{}
+		d.refTimers = make([]*refEvent, lineDiffTimers)
+		d.ref.scheduleAt(0, 0, -1, d.step)
+		d.ref.run()
+	} else {
+		d.eng = NewEngine()
+		d.lines = make([]Line, lineDiffLines)
+		d.timers = make([]Timer, lineDiffTimers)
+		d.eng.ScheduleCall(0, d, nil)
+		d.eng.RunAll()
+	}
+	return d.log
+}
+
+func checkLineDiff(t *testing.T, seed uint64, steps int) {
+	t.Helper()
+	got, want := runLineDiff(seed, false, steps), runLineDiff(seed, true, steps)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("seed %d steps %d: lines diverge from one event per entry\nlines: %v\nref:   %v", seed, steps, got, want)
+	}
+}
+
+func TestLineHeapDifferential(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		checkLineDiff(t, seed, 400)
+	}
+}
+
+func FuzzLineHeapEquivalence(f *testing.F) {
+	f.Add(uint64(7), uint16(300))
+	f.Add(uint64(42), uint16(800))
+	f.Fuzz(func(t *testing.T, seed uint64, steps16 uint16) {
+		checkLineDiff(t, seed, int(steps16)%1000+10)
+	})
+}
+
+// TestPushLineOrderPanics: a line is a FIFO — an entry keyed before the
+// tail, by time or by emission stamp at an equal time, or pushed with a
+// different handler, is a caller bug.
+func TestPushLineOrderPanics(t *testing.T) {
+	n := 0
+	h, other := surfHandler{&n}, lineFire{}
+	cases := []struct {
+		name     string
+		at, from Time
+		h        Handler
+	}{
+		{"earlier deadline", 9, 0, h},
+		{"earlier stamp at equal deadline", 10, 4, h},
+		{"different handler", 10, 5, other},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng := NewEngine()
+			var l Line
+			eng.PushLine(&l, 10, 5, h, nil)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("PushLine did not panic")
+				}
+			}()
+			eng.PushLine(&l, c.at, c.from, c.h, nil)
+		})
+	}
+	// Equal keys are in order: seq breaks the tie.
+	eng := NewEngine()
+	var l Line
+	eng.PushLine(&l, 10, 5, h, nil)
+	eng.PushLine(&l, 10, 5, h, nil)
+	eng.RunAll()
+	if n != 2 {
+		t.Fatalf("dispatched %d of 2 equal-key entries", n)
+	}
 }

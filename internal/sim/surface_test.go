@@ -40,25 +40,35 @@ func TestConvenienceSurfaces(t *testing.T) {
 	}
 }
 
-// TestAtCallFromStampAndClamp: a cross-engine injection dispatches like a
-// local event, negative fast-path delays clamp to now, and a scheduling
-// stamp after the deadline is a caller bug that must panic.
-func TestAtCallFromStampAndClamp(t *testing.T) {
+// TestPushLineStampAndClamp: a cross-engine injection onto a line
+// dispatches like a local event, a deadline in the past clamps to now,
+// negative fast-path delays clamp to now, and a scheduling stamp after
+// the deadline is a caller bug that must panic.
+func TestPushLineStampAndClamp(t *testing.T) {
 	eng := NewEngine()
 	n := 0
 	h := surfHandler{&n}
-	eng.AtCallFrom(Duration(1e6), Duration(1e3), h, nil)
+	var l Line
+	eng.PushLine(&l, Duration(1e6), Duration(1e3), h, nil)
 	eng.ScheduleCall(-5, h, nil)
 	eng.RunAll()
 	if n != 2 {
 		t.Fatalf("dispatched %d events, want 2", n)
 	}
+	eng.PushLine(&l, 0, 0, h, nil) // past deadline: fires at Now()
+	if got := eng.NextEventTime(); got != eng.Now() {
+		t.Fatalf("past PushLine queued at %v, want the clamped %v", got, eng.Now())
+	}
+	eng.RunAll()
+	if n != 3 {
+		t.Fatalf("dispatched %d events, want 3", n)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AtCallFrom(from > t) did not panic")
+			t.Fatal("PushLine(from > at) did not panic")
 		}
 	}()
-	eng.AtCallFrom(1, 2, h, nil)
+	eng.PushLine(&l, 1, 2, h, nil)
 }
 
 // TestArmPinnedTimerSurface: the relative pinned arm lands on the pinned
