@@ -127,15 +127,21 @@ type benchSnapshot struct {
 func runBenchJSON(path string, heavy bool) error {
 	snap := benchSnapshot{Go: runtime.Version()}
 	if old, err := os.ReadFile(path); err == nil {
+		// A file that does not parse would lose its frozen baseline on
+		// rewrite.
 		var prev benchSnapshot
-		if json.Unmarshal(old, &prev) == nil {
-			snap.Note = prev.Note
-			snap.Baseline = prev.Baseline
+		if err := json.Unmarshal(old, &prev); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
 		}
+		snap.Note = prev.Note
+		snap.Baseline = prev.Baseline
 	}
 	fmt.Fprintln(os.Stderr, "cebinae-bench: running perf suite (this takes a few minutes)")
 	snap.Current = benchkit.RunSuite(heavy)
-	for _, r := range snap.Current {
+	host := hostFingerprint()
+	for i := range snap.Current {
+		snap.Current[i].Host = host
+		r := snap.Current[i]
 		fmt.Fprintf(os.Stderr, "  %-24s %14.1f ns/op %10d B/op %8d allocs/op%s\n",
 			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, metricExtras(r.Metrics))
 	}
@@ -144,6 +150,21 @@ func runBenchJSON(path string, heavy bool) error {
 		return err
 	}
 	return os.WriteFile(path, append(out, '\n'), 0o644)
+}
+
+// hostFingerprint names the measuring machine for the snapshot rows.
+func hostFingerprint() string {
+	cpu := runtime.GOARCH
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(info), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				cpu = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return fmt.Sprintf("%s; nproc=%d; gomaxprocs=%d; %s %s/%s",
+		cpu, runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), runtime.GOOS, runtime.GOARCH)
 }
 
 // metricExtras renders a benchmark's custom b.ReportMetric values (the

@@ -1,7 +1,8 @@
 // Package benchkit is the perf measurement harness shared by the go-test
 // benchmarks and `cebinae-bench -benchjson`: microbenchmarks of the event
-// engine's schedule/cancel/dispatch cycle, the netem forwarding hot path,
-// and an end-to-end dumbbell TCP run. Keeping the bodies here (rather than
+// engine's schedule/cancel/dispatch cycle, the netem forwarding hot path
+// (one hop, and many equal-delay links fanning into one switch), and an
+// end-to-end dumbbell TCP run. Keeping the bodies here (rather than
 // in _test files) lets the CLI emit a machine-readable perf snapshot
 // (BENCH_baseline.json) with exactly the numbers the benchmarks report, so
 // every PR leaves a comparable point on the perf trajectory.
@@ -119,7 +120,7 @@ func (nullEndpoint) Deliver(p *packet.Packet) {}
 
 // NetemForward measures one packet per op through a two-node
 // store-and-forward hop: pool alloc, qdisc enqueue/dequeue, persistent
-// transmit event, the peer's inbound delay line, delivery, pool release.
+// transmit event, the link's shared delay line, delivery, pool release.
 // Steady state is allocation-free.
 func NetemForward(b *testing.B) {
 	eng := sim.NewEngine()
@@ -180,6 +181,10 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	// Host fingerprints the machine that measured the row (CPU model,
+	// CPU count, GOMAXPROCS, Go version); rows from different hosts do
+	// not compare. Empty on rows recorded before hosts were.
+	Host string `json:"host,omitempty"`
 	// Metrics carries the benchmark's custom b.ReportMetric values (e.g.
 	// the backbone tier's flows/s and B/flow); absent when a benchmark
 	// reports none. JSON renders map keys sorted, so the snapshot stays
@@ -203,12 +208,17 @@ func Specs() []Spec {
 		{"EngineScheduleCancel", EngineScheduleCancel},
 		{"TimerChurn", TimerChurn},
 		{"NetemForward", NetemForward},
+	}
+	for _, n := range FanInSenders {
+		out = append(out, Spec{FanInSpecName(n), NetemFanIn(n)})
+	}
+	out = append(out, []Spec{
 		{"DumbbellE2E", DumbbellE2E},
 		{"FastForward", FastForward},
 		{ChainSpecName(1), ChainE2EShards(1)},
 		{ChainSpecName(4), ChainE2EShards(4)},
 		{"Backbone", Backbone},
-	}
+	}...)
 	return append(out, GridSpecs()...)
 }
 

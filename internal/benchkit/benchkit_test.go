@@ -19,6 +19,12 @@ func BenchmarkTimerChurn(b *testing.B)            { TimerChurn(b) }
 func BenchmarkNetemForward(b *testing.B)          { NetemForward(b) }
 func BenchmarkDumbbellE2E(b *testing.B)           { DumbbellE2E(b) }
 
+func BenchmarkNetemFanIn(b *testing.B) {
+	for _, n := range FanInSenders {
+		b.Run(fmt.Sprintf("N=%d", n), NetemFanIn(n))
+	}
+}
+
 func BenchmarkChainE2E(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), ChainE2EShards(shards))
@@ -118,7 +124,7 @@ func TestTCPRTTZeroAlloc(t *testing.T) {
 	}
 }
 
-// qdisc, persistent transmit event, and the peer's inbound delay line
+// qdisc, persistent transmit event, and the link's shared delay line
 // together move a packet across a hop without allocating — one packet at
 // a time, and as a burst that parks many packets on the line at once.
 func TestNetemForwardZeroAlloc(t *testing.T) {
@@ -190,6 +196,29 @@ func TestBackboneSteadyStateAllocs(t *testing.T) {
 	if perPkt := allocs / perWindow; perPkt > 0.01 {
 		t.Fatalf("backbone steady state allocates %.4f objects/packet (%.1f per 1 ms window, %.0f packets), want <= 0.01",
 			perPkt, allocs, perWindow)
+	}
+}
+
+// TestNetemFanInZeroAlloc: with every sender's packets in flight on the
+// one shared delay line, the fan-in hop stays allocation-free at each
+// size, and every injected packet reaches the switch.
+func TestNetemFanInZeroAlloc(t *testing.T) {
+	for _, n := range FanInSenders {
+		r := newFanInRig(n)
+		r.run(2048)
+		if allocs := testing.AllocsPerRun(5, func() { r.run(1024) }); allocs != 0 {
+			t.Fatalf("N=%d: fan-in allocates %.1f objects per 1024 hops, want 0", n, allocs)
+		}
+		var rx uint64
+		for _, s := range r.senders {
+			rx += s.Devices()[0].Stats.TxPackets
+		}
+		if want := uint64(2048 + 6*1024); rx != want {
+			t.Fatalf("N=%d: senders transmitted %d packets, want %d", n, rx, want)
+		}
+		if r.eng.Pending() != 0 {
+			t.Fatalf("N=%d: %d events left after the drain", n, r.eng.Pending())
+		}
 	}
 }
 

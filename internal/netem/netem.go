@@ -95,12 +95,16 @@ type Device struct {
 	txEvent  sim.Event
 	txPacket *packet.Packet
 
-	// inbound is the propagation leg feeding this device: the packets in
-	// flight towards it, in arrival order. A device has exactly one feeder
-	// — its local peer's transmitter or one cut-link half — so arrivals
-	// reach the line in dispatch order and only the head occupies the
-	// engine's heap.
-	inbound sim.Line
+	// line is the engine's shared delay line for this device's delay
+	// (sim.Engine.DelayLine), looked up once by Connect: completed
+	// transmissions propagate to the local peer on it, in one FIFO with
+	// every other local link of the same delay. Nil on a cut-link half.
+	line *sim.Line
+	// inbound is a cut-link half's own arrival line, fed by
+	// InjectArrivalFrom. Injections carry the remote emission stamp,
+	// which may lie in the engine's past, so they cannot share a FIFO
+	// with local pushes. Nil on a locally peered device.
+	inbound *sim.Line
 
 	// serialiseSize/serialiseTime memoise the last packet size's
 	// serialisation delay. Traffic on a device is dominated by long runs
@@ -174,8 +178,8 @@ func (d *Device) transmitNext() {
 type deviceTxDone Device
 
 // OnEvent fires when the head packet's last bit leaves the device: account
-// it, push it onto the peer's inbound delay line (the propagation leg of
-// the hop), and start on the next packet.
+// it, push its arrival at the peer onto the shared delay line (the
+// propagation leg of the hop), and start on the next packet.
 func (t *deviceTxDone) OnEvent(any) {
 	d := (*Device)(t)
 	p := d.txPacket
@@ -190,7 +194,7 @@ func (t *deviceTxDone) OnEvent(any) {
 	if d.handoff != nil {
 		d.handoff.Handoff(p, now, now+d.delay)
 	} else {
-		eng.PushLine(&d.peer.inbound, now+d.delay, now, (*deviceArrival)(d.peer), p)
+		eng.PushLine(d.line, now+d.delay, now, (*deviceArrival)(d.peer), p)
 	}
 	d.transmitNext()
 }
@@ -209,9 +213,13 @@ func (r *deviceArrival) OnEvent(arg any) {
 // completion, so cuts through dense-traffic links (same-nanosecond arrival
 // collisions) stay byte-identical to the single-engine run. Arrivals must
 // be injected in (t, sent) order. p must be owned by this device's
-// network (drawn from its pool or handed over for good).
+// network (drawn from its pool or handed over for good). Only a cut-link
+// half (ConnectHalf) receives injections; a locally peered device panics.
 func (d *Device) InjectArrivalFrom(t, sent sim.Time, p *packet.Packet) {
-	d.node.net.Engine.PushLine(&d.inbound, t, sent, (*deviceArrival)(d), p)
+	if d.inbound == nil {
+		panic(fmt.Sprintf("netem: InjectArrivalFrom on %s, which is not a cut-link half (ConnectHalf)", d.Name))
+	}
+	d.node.net.Engine.PushLine(d.inbound, t, sent, (*deviceArrival)(d), p)
 }
 
 // NextHandoffBound returns a lower bound on the virtual time at which
@@ -415,8 +423,9 @@ func (cfg LinkConfig) check() {
 // cfg.QdiscFactory or SetQdisc) before traffic flows.
 func (w *Network) Connect(a, b *Node, cfg LinkConfig) (*Device, *Device) {
 	cfg.check()
-	da := &Device{Name: fmt.Sprintf("%s->%s", a.Name, b.Name), node: a, rate: cfg.RateBps, delay: cfg.Delay}
-	db := &Device{Name: fmt.Sprintf("%s->%s", b.Name, a.Name), node: b, rate: cfg.RateBps, delay: cfg.Delay}
+	line := w.Engine.DelayLine(cfg.Delay)
+	da := &Device{Name: fmt.Sprintf("%s->%s", a.Name, b.Name), node: a, rate: cfg.RateBps, delay: cfg.Delay, line: line}
+	db := &Device{Name: fmt.Sprintf("%s->%s", b.Name, a.Name), node: b, rate: cfg.RateBps, delay: cfg.Delay, line: line}
 	da.peer, db.peer = db, da
 	if cfg.QdiscFactory != nil {
 		da.qdisc = cfg.QdiscFactory()
@@ -432,10 +441,12 @@ func (w *Network) Connect(a, b *Node, cfg LinkConfig) (*Device, *Device) {
 // sharded run. peerName is the remote node's name (used only for the
 // device name, which matches what Connect would have produced). Outbound
 // packets serialise through the qdisc and transmitter exactly as on a
-// local link and are then passed to h with their arrival time.
+// local link and are then passed to h with their arrival time; arrivals
+// from the remote half come in through InjectArrivalFrom onto the
+// device's own inbound line.
 func (w *Network) ConnectHalf(a *Node, peerName string, cfg LinkConfig, h Handoff) *Device {
 	cfg.check()
-	d := &Device{Name: fmt.Sprintf("%s->%s", a.Name, peerName), node: a, rate: cfg.RateBps, delay: cfg.Delay, handoff: h}
+	d := &Device{Name: fmt.Sprintf("%s->%s", a.Name, peerName), node: a, rate: cfg.RateBps, delay: cfg.Delay, handoff: h, inbound: &sim.Line{}}
 	if cfg.QdiscFactory != nil {
 		d.qdisc = cfg.QdiscFactory()
 	}

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"strings"
 	"testing"
 
 	"cebinae/internal/packet"
@@ -352,7 +353,7 @@ func TestNoDefaultEndpointStillUnroutable(t *testing.T) {
 
 // TestConnectRejectsBadLinks: a link must have a positive rate and a
 // non-negative delay — a negative one would deliver packets onto the
-// peer's delay line before they were emitted.
+// link's delay line before they were emitted.
 func TestConnectRejectsBadLinks(t *testing.T) {
 	for _, cfg := range []LinkConfig{
 		{RateBps: 0, Delay: 1},
@@ -375,4 +376,90 @@ func TestConnectRejectsBadLinks(t *testing.T) {
 			}()
 		}
 	}
+}
+
+// TestConnectSharesDelayLines: every local link of one propagation delay
+// puts both of its directions on the engine's one line for that delay;
+// links of another delay, or on another engine, get another line; and
+// only a cut-link half owns an inbound line.
+func TestConnectSharesDelayLines(t *testing.T) {
+	eng := sim.NewEngine()
+	w := NewNetwork(eng)
+	sw := w.NewNode("sw")
+	cfg := func(d sim.Time) LinkConfig { return LinkConfig{RateBps: 1e9, Delay: d} }
+	a1, b1 := w.Connect(w.NewNode("h1"), sw, cfg(5e6))
+	a2, b2 := w.Connect(w.NewNode("h2"), sw, cfg(5e6))
+	c1, c2 := w.Connect(w.NewNode("h3"), sw, cfg(7e6))
+	for _, d := range []*Device{a1, b1, a2, b2} {
+		if d.line != eng.DelayLine(5e6) {
+			t.Fatalf("%s is not on the engine's 5 ms line", d.Name)
+		}
+	}
+	if c1.line != c2.line || c1.line == a1.line {
+		t.Fatal("a 7 ms link must share its own line, not the 5 ms one")
+	}
+	other := NewNetwork(sim.NewEngine())
+	o1, _ := other.Connect(other.NewNode("x"), other.NewNode("y"), cfg(5e6))
+	if o1.line == a1.line {
+		t.Fatal("links on different engines share a line")
+	}
+	for _, d := range []*Device{a1, b1, a2, b2, c1, c2} {
+		if d.inbound != nil {
+			t.Fatalf("locally peered %s allocated an inbound line", d.Name)
+		}
+	}
+	half := w.ConnectHalf(sw, "remote", cfg(5e6), nil)
+	if half.inbound == nil || half.line != nil {
+		t.Fatal("a cut-link half must own an inbound line and no shared one")
+	}
+}
+
+// TestSharedLineDeliversToEachPeer: two equal-delay links carry packets
+// at once on the shared line, and every packet still arrives at its own
+// link's peer at transmit completion plus the delay.
+func TestSharedLineDeliversToEachPeer(t *testing.T) {
+	eng := sim.NewEngine()
+	w := NewNetwork(eng)
+	a, b, c, e := w.NewNode("a"), w.NewNode("b"), w.NewNode("c"), w.NewNode("e")
+	link := LinkConfig{RateBps: 8e6, Delay: sim.Duration(10e6), QdiscFactory: fifoFactory}
+	ab, _ := w.Connect(a, b, link)
+	ce, _ := w.Connect(c, e, link)
+	sb, se := &sink{eng: eng}, &sink{eng: eng}
+	kb := packet.FlowKey{Src: a.ID, Dst: b.ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
+	ke := packet.FlowKey{Src: c.ID, Dst: e.ID, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP}
+	b.Register(kb, sb)
+	e.Register(ke, se)
+	a.AddRoute(b.ID, ab)
+	c.AddRoute(e.ID, ce)
+	// 1000 B at 8 Mbps serialise in 1 ms; 500 B in 0.5 ms.
+	a.Inject(&packet.Packet{Flow: kb, Size: 1000})
+	a.Inject(&packet.Packet{Flow: kb, Size: 1000})
+	c.Inject(&packet.Packet{Flow: ke, Size: 500})
+	c.Inject(&packet.Packet{Flow: ke, Size: 500})
+	eng.RunAll()
+	ms := func(v float64) sim.Time { return sim.Time(v * 1e6) }
+	if want := []sim.Time{ms(11), ms(12)}; len(sb.at) != 2 || sb.at[0] != want[0] || sb.at[1] != want[1] {
+		t.Fatalf("b received at %v, want %v", sb.at, want)
+	}
+	if want := []sim.Time{ms(10.5), ms(11)}; len(se.at) != 2 || se.at[0] != want[0] || se.at[1] != want[1] {
+		t.Fatalf("e received at %v, want %v", se.at, want)
+	}
+	if ab.Stats.RxPackets != 0 || b.Devices()[0].Stats.RxPackets != 2 || e.Devices()[0].Stats.RxPackets != 2 {
+		t.Fatal("arrivals credited to the wrong device")
+	}
+}
+
+// TestInjectArrivalFromLocalDevicePanics: a locally peered device has no
+// inbound line of its own, so a cut-link injection onto it is a wiring
+// bug that must say so rather than dereference nil.
+func TestInjectArrivalFromLocalDevicePanics(t *testing.T) {
+	w := NewNetwork(sim.NewEngine())
+	da, _ := w.Connect(w.NewNode("a"), w.NewNode("b"), LinkConfig{RateBps: 1e9, Delay: 1})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "not a cut-link half") {
+			t.Fatalf("panic %q, want the not-a-cut-link-half message", msg)
+		}
+	}()
+	da.InjectArrivalFrom(5, 1, &packet.Packet{})
 }

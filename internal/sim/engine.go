@@ -21,10 +21,12 @@
 //     usually re-armed or stopped before they fire (RTO, pacing, delayed
 //     ACK, control loops). Far-future timers park in a hierarchical timing
 //     wheel where stop/re-arm is O(1); see timer.go.
-//   - PushLine feeds a caller-embedded Line: a FIFO delay line whose
-//     deliveries arrive in dispatch order (a link's propagation leg). Only
-//     the line's head sits on the heap, so the heap holds one event per
-//     busy line rather than one per packet in flight; see line.go.
+//   - PushLine feeds a Line: a FIFO delay line whose deliveries arrive in
+//     dispatch order (a link's propagation leg). Every local link of one
+//     delay shares the engine's line for it (DelayLine), and only a
+//     line's head sits on the heap, so the heap holds one event per
+//     non-empty delay class rather than one per packet in flight; see
+//     line.go.
 //
 // Choosing a surface: one-shot cold-path setup code → Schedule/At;
 // self-perpetuating streams with a payload → ScheduleCall; a strictly
@@ -89,8 +91,9 @@ const (
 	// kindTimer events are the heap residency of a caller-embedded Timer
 	// (timer.go); arg back-points to the Timer, which carries the handler.
 	kindTimer
-	// kindLine events are the heap residency of a caller-embedded Line's
-	// head entry (line.go); arg back-points to the Line.
+	// kindLine events are the heap residency of a Line's head entry
+	// (line.go); arg back-points to the Line, whose entries carry their
+	// own handlers.
 	kindLine
 )
 
@@ -123,7 +126,7 @@ type Event struct {
 	pinned bool
 
 	callback func()  // kindClosure
-	handler  Handler // kindPooled, kindOwned, kindLine
+	handler  Handler // kindPooled, kindOwned (line entries carry their own)
 	arg      any
 }
 
@@ -142,6 +145,9 @@ type Engine struct {
 	queue []*Event // 4-ary min-heap ordered by (at, schedAt, seq)
 	free  []*Event // recycled kindPooled events
 	wheel timerWheel
+	// lines is the shared delay-line registry (DelayLine), sorted by
+	// delay.
+	lines []delayLine
 	// lineBacklog counts line entries queued behind their line's head
 	// (the heads themselves are on the heap).
 	lineBacklog int
@@ -356,8 +362,8 @@ func (e *Engine) Run(until Time) Time {
 		if next.kind == kindLine {
 			// popLine re-keys the root to the line's next entry in place
 			// (or pops it when the line drains) before dispatch.
-			h := next.handler
-			h.OnEvent(e.popLine(next.arg.(*Line)))
+			h, arg := e.popLine(next.arg.(*Line))
+			h.OnEvent(arg)
 			continue
 		}
 		e.heapPopMin()

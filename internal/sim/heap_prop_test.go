@@ -191,7 +191,7 @@ func TestHeapMatchesReferenceNested(t *testing.T) {
 			if id < 2000 {
 				spawn(next+1000, Time(id%7))
 				if id%3 == 0 {
-					spawn(next + 2000, Time(id % 5))
+					spawn(next+2000, Time(id%5))
 				}
 				next++
 			}
@@ -253,34 +253,43 @@ func FuzzHeapDispatchOrder(f *testing.F) {
 // ---------------------------------------------------------------------------
 // Line differential: one seeded script drives the engine — delay lines,
 // pooled calls, timers — and the reference, where every line entry is its
-// own heap event. The script pushes onto several lines with fixed per-line
-// delays (zero included, so same-nanosecond collisions with the pushing
-// event are common), and line 0 carries past emission stamps the way a
-// shard's cut-link injection does. Both sides consume the rng in dispatch
-// order, so any divergence desynchronises the rest of the script too.
+// own heap event. The script pushes from several links, each with a fixed
+// delay (zero included, so same-nanosecond collisions with the pushing
+// event are common) and a handler of its own. Links 1.. push local
+// arrivals onto the engine's shared line for their delay, so links of
+// equal delay interleave their entries, and handlers, on one FIFO; link 0
+// owns its line and carries past emission stamps the way a shard's
+// cut-link injection does. Both sides consume the rng in dispatch order,
+// so any divergence desynchronises the rest of the script too.
 // ---------------------------------------------------------------------------
 
-const lineDiffLines, lineDiffTimers = 4, 4
+const lineDiffLinks, lineDiffTimers = 6, 4
 
 type lineDiff struct {
 	rng    *Rand
 	steps  int
 	log    []string
 	nextID int
-	delays []Time // per-line propagation delay
-	last   []Time // per-line latest emission stamp
+	delays []Time // per-link propagation delay
+	last   []Time // per-link latest emission stamp
 
 	// Exactly one side is live: the engine or the reference.
 	eng       *Engine
-	lines     []Line
+	lines     []*Line // per link: its own line (link 0) or the shared one
 	timers    []Timer
 	ref       *refScheduler
 	refTimers []*refEvent
 }
 
-type lineFire struct{ d *lineDiff }
+// lineFire logs a dispatch together with the link whose handler ran, so
+// an entry dispatched through another entry's handler shows up in the
+// log.
+type lineFire struct {
+	d    *lineDiff
+	link int
+}
 
-func (f lineFire) OnEvent(arg any) { f.d.fired(arg.(int)) }
+func (f lineFire) OnEvent(arg any) { f.d.fired(arg.(int), f.link) }
 
 func (d *lineDiff) now() Time {
 	if d.eng != nil {
@@ -289,7 +298,9 @@ func (d *lineDiff) now() Time {
 	return d.ref.now
 }
 
-func (d *lineDiff) fired(id int) { d.log = append(d.log, fmt.Sprintf("%d@%d", id, d.now())) }
+func (d *lineDiff) fired(id, link int) {
+	d.log = append(d.log, fmt.Sprintf("%d@%d/%d", id, d.now(), link))
+}
 
 func (d *lineDiff) OnEvent(any) { d.step() }
 
@@ -303,9 +314,9 @@ func (d *lineDiff) step() {
 	now := d.now()
 	d.nextID++
 	id := d.nextID
-	fire := lineFire{d}
+	fire := lineFire{d, -1}
 	switch op := d.rng.Intn(8); {
-	case op < 4: // push onto a line
+	case op < 4: // push onto a link's line
 		li := d.rng.Intn(len(d.delays))
 		delay := d.delays[li]
 		from := now
@@ -317,16 +328,16 @@ func (d *lineDiff) step() {
 		}
 		d.last[li] = from
 		if d.eng != nil {
-			d.eng.PushLine(&d.lines[li], from+delay, from, fire, id)
+			d.eng.PushLine(d.lines[li], from+delay, from, lineFire{d, li}, id)
 		} else {
-			d.ref.scheduleAt(from+delay, from, id, func() { d.fired(id) })
+			d.ref.scheduleAt(from+delay, from, id, func() { d.fired(id, li) })
 		}
 	case op == 4: // pooled one-shot
 		delay := Time(d.rng.Intn(4))
 		if d.eng != nil {
 			d.eng.ScheduleCall(delay, fire, id)
 		} else {
-			d.ref.scheduleAt(now+delay, now, id, func() { d.fired(id) })
+			d.ref.scheduleAt(now+delay, now, id, func() { d.fired(id, -1) })
 		}
 	case op == 5: // arm / re-arm a timer, near or wheel-parked
 		slot := d.rng.Intn(lineDiffTimers)
@@ -335,7 +346,7 @@ func (d *lineDiff) step() {
 			d.eng.ArmTimer(&d.timers[slot], delay, fire, id)
 		} else {
 			d.ref.cancel(d.refTimers[slot])
-			d.refTimers[slot] = d.ref.scheduleAt(now+delay, now, id, func() { d.fired(id) })
+			d.refTimers[slot] = d.ref.scheduleAt(now+delay, now, id, func() { d.fired(id, -1) })
 		}
 	case op == 6: // cancel a timer
 		slot := d.rng.Intn(lineDiffTimers)
@@ -357,12 +368,14 @@ func (d *lineDiff) step() {
 }
 
 // runLineDiff runs one script on the engine (ref false) or the reference.
+// Delays are drawn from four values, so the five local links always put
+// at least two links on one shared line.
 func runLineDiff(seed uint64, ref bool, steps int) []string {
 	d := &lineDiff{rng: NewRand(seed), steps: steps}
-	for i := 0; i < lineDiffLines; i++ {
+	for i := 0; i < lineDiffLinks; i++ {
 		d.delays = append(d.delays, Time(d.rng.Intn(4)))
 	}
-	d.last = make([]Time, lineDiffLines)
+	d.last = make([]Time, lineDiffLinks)
 	if ref {
 		d.ref = &refScheduler{}
 		d.refTimers = make([]*refEvent, lineDiffTimers)
@@ -370,7 +383,10 @@ func runLineDiff(seed uint64, ref bool, steps int) []string {
 		d.ref.run()
 	} else {
 		d.eng = NewEngine()
-		d.lines = make([]Line, lineDiffLines)
+		d.lines = []*Line{{}}
+		for _, delay := range d.delays[1:] {
+			d.lines = append(d.lines, d.eng.DelayLine(delay))
+		}
 		d.timers = make([]Timer, lineDiffTimers)
 		d.eng.ScheduleCall(0, d, nil)
 		d.eng.RunAll()
@@ -401,19 +417,16 @@ func FuzzLineHeapEquivalence(f *testing.F) {
 }
 
 // TestPushLineOrderPanics: a line is a FIFO — an entry keyed before the
-// tail, by time or by emission stamp at an equal time, or pushed with a
-// different handler, is a caller bug.
+// tail, by time or by emission stamp at an equal time, is a caller bug.
 func TestPushLineOrderPanics(t *testing.T) {
 	n := 0
-	h, other := surfHandler{&n}, lineFire{}
+	h := surfHandler{&n}
 	cases := []struct {
 		name     string
 		at, from Time
-		h        Handler
 	}{
-		{"earlier deadline", 9, 0, h},
-		{"earlier stamp at equal deadline", 10, 4, h},
-		{"different handler", 10, 5, other},
+		{"earlier deadline", 9, 0},
+		{"earlier stamp at equal deadline", 10, 4},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -425,7 +438,7 @@ func TestPushLineOrderPanics(t *testing.T) {
 					t.Fatal("PushLine did not panic")
 				}
 			}()
-			eng.PushLine(&l, c.at, c.from, c.h, nil)
+			eng.PushLine(&l, c.at, c.from, h, nil)
 		})
 	}
 	// Equal keys are in order: seq breaks the tie.
@@ -438,3 +451,34 @@ func TestPushLineOrderPanics(t *testing.T) {
 		t.Fatalf("dispatched %d of 2 equal-key entries", n)
 	}
 }
+
+// TestPushLinePerEntryHandler: entries of one line dispatch through the
+// handler each was pushed with — the head's handler never leaks onto the
+// entries behind it — including when the line drains and refills.
+func TestPushLinePerEntryHandler(t *testing.T) {
+	var log []string
+	eng := NewEngine()
+	l := eng.DelayLine(7)
+	if eng.DelayLine(7) != l || eng.DelayLine(3) == l {
+		t.Fatal("DelayLine must return one line per distinct delay")
+	}
+	rec := func(name string) Handler {
+		return handlerFunc(func(arg any) { log = append(log, fmt.Sprintf("%s:%v@%d", name, arg, eng.Now())) })
+	}
+	a, b, c := rec("a"), rec("b"), rec("c")
+	eng.PushLine(l, 7, 0, a, 1)
+	eng.PushLine(l, 7, 0, b, 2)
+	eng.PushLine(l, 7, 0, a, 3)
+	eng.AtCall(5, handlerFunc(func(any) { eng.PushLine(l, 12, 5, c, 4) }), nil)
+	eng.RunAll()
+	eng.PushLine(l, eng.Now()+7, eng.Now(), b, 5) // refill after the line drained
+	eng.RunAll()
+	want := "[a:1@7 b:2@7 a:3@7 c:4@12 b:5@19]"
+	if fmt.Sprint(log) != want {
+		t.Fatalf("dispatch log %v, want %s", log, want)
+	}
+}
+
+type handlerFunc func(arg any)
+
+func (f handlerFunc) OnEvent(arg any) { f(arg) }
